@@ -250,13 +250,6 @@ fn build_plan(cfg: &EvolveScenario, matrix: spaden_serve::MatrixHandle) -> Evolv
     }
 }
 
-/// Per-row oracle tolerance for f16 tensor-core accumulation (mirrors
-/// the traffic engine's bound).
-pub(crate) fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
-    let row_nnz = (csr.row_ptr[row + 1] - csr.row_ptr[row]) as f64;
-    (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
-}
-
 fn serve_config() -> ServeConfig {
     ServeConfig {
         shard_devices: 4,
@@ -424,7 +417,7 @@ pub fn run_evolve(gpu: &GpuConfig, cfg: &EvolveScenario) -> EvolveReport {
             .iter()
             .zip(&oracle)
             .enumerate()
-            .any(|(r, (a, e))| ((*a as f64) - e).abs() > oracle_tol(truth, r, *e));
+            .any(|(r, (a, e))| ((*a as f64) - e).abs() > truth.oracle_tol(r, *e));
         if bad {
             wrong_value += 1;
         } else {

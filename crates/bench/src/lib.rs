@@ -14,11 +14,11 @@
 //! run.
 
 pub mod batching;
-pub mod bench9;
-pub mod chaos10;
+pub mod chaos;
 pub mod evolve;
 pub mod experiments;
 pub mod harness;
+pub mod perf_summary;
 pub mod planning;
 pub mod recover;
 pub mod registry;
@@ -30,13 +30,13 @@ pub mod traffic;
 pub mod verdict;
 
 pub use batching::{batch_report, run_batch_bench, BatchBenchConfig, BatchPoint, BatchReport};
-pub use bench9::{
-    bench_summary_json, bench_summary_tables, run_bench_summary, BenchSummary, EngineGflops,
-};
-pub use chaos10::chaos_report;
+pub use chaos::chaos_report;
 pub use evolve::{evolve_report, run_evolve, EvolveReport, EvolveScenario};
 pub use experiments::*;
 pub use harness::BenchGroup;
+pub use perf_summary::{
+    bench_summary_json, bench_summary_tables, run_bench_summary, BenchSummary, EngineGflops,
+};
 pub use planning::{plan_corpus, plan_report, PlanReport};
 pub use recover::{recover_report, recover_report_json, run_recover, RecoverReport, RecoverScenario};
 pub use registry::{build_engine, EngineKind, FIG6_ENGINES, FIG8_ENGINES};

@@ -25,7 +25,7 @@
 //! printed *outside* the injection phase.
 
 use crate::verdict::Verdict;
-use crate::evolve::{oracle_tol, structural_batch, value_only_batch};
+use crate::evolve::{structural_batch, value_only_batch};
 use crate::Table;
 use spaden::{EvolveConfig, UpdateFault};
 use spaden_gpusim::{Gpu, GpuConfig};
@@ -337,7 +337,7 @@ pub fn run_recover(gpu: &GpuConfig, cfg: &RecoverScenario) -> RecoverReport {
             };
             let oracle = tip_truth.spmv_f64(&xi).expect("oracle dims match");
             let torn = ok.y.iter().zip(&oracle).enumerate().any(|(r, (a, e))| {
-                ((*a as f64) - e).abs() > oracle_tol(tip_truth, r, *e)
+                ((*a as f64) - e).abs() > tip_truth.oracle_tol(r, *e)
             });
             reads_verified += !torn as u64;
         }

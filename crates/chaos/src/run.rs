@@ -29,6 +29,7 @@ use spaden_serve::{
     ServeConfig, ServeError, SpmvServer, UpdateOutcome, Weaken,
 };
 use spaden_sparse::delta::{apply_to_csr, Delta, DeltaBatch, UpdateError};
+use spaden_sparse::fingerprint::Fnv;
 use spaden_sparse::{fingerprint, gen, Csr, Pcg64};
 use spaden_store::{inject, SnapshotPolicy, StorageFault, WalError};
 use spaden_traffic::traffic_x;
@@ -137,37 +138,6 @@ fn structural_batch(truth: &Csr, rng: &mut Pcg64, k: usize, fresh: usize) -> Del
         }
     }
     DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("generated batch is valid")
-}
-
-/// Per-row oracle tolerance for f16 tensor-core accumulation (the bound
-/// the traffic and evolve experiments verify against).
-fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
-    let row_nnz = (csr.row_ptr[row + 1] - csr.row_ptr[row]) as f64;
-    (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Streaming FNV-1a, the repo's determinism-certificate hash.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(FNV_OFFSET)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
 }
 
 fn serve_config(weaken: Weaken) -> ServeConfig {
@@ -445,7 +415,7 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
             .iter()
             .zip(&oracle)
             .enumerate()
-            .find(|(r, (a, e))| ((**a as f64) - **e).abs() > oracle_tol(truth, *r, **e));
+            .find(|(r, (a, e))| ((**a as f64) - **e).abs() > truth.oracle_tol(*r, **e));
         if let Some((row, (a, e))) = bad {
             violations.push(format!(
                 "arrival {s} served unverified output: row {row} = {a} vs oracle {e:.6} \
@@ -528,12 +498,12 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
     }
 
     // The determinism digest: every bit the scenario produced.
-    let mut d = Digest::new();
+    let mut d = Fnv::new();
     for (s, o) in &outcomes {
         d.u64(*s as u64);
         d.u64(o.epoch);
-        d.f64(o.arrival_s);
-        d.f64(o.done_s);
+        d.u64(o.arrival_s.to_bits());
+        d.u64(o.done_s.to_bits());
         match &o.result {
             Ok(ok) => {
                 d.u64(1);
@@ -562,11 +532,11 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
     d.u64(stats.ok_total());
     d.u64(stats.shed);
     d.u64(stats.update_rollbacks);
-    d.f64(server.clock_s());
+    d.u64(server.clock_s().to_bits());
 
     ScenarioOutcome {
         violations,
-        digest: d.0,
+        digest: d.finish(),
         offered: arrivals.len(),
         served,
         high_offered,
@@ -672,7 +642,7 @@ fn audit_crash_point(
         .iter()
         .zip(&oracle)
         .enumerate()
-        .find(|(r, (a, e))| ((**a as f64) - **e).abs() > oracle_tol(truth, *r, **e))
+        .find(|(r, (a, e))| ((**a as f64) - **e).abs() > truth.oracle_tol(*r, **e))
     {
         return fail(format!("probe read row {row} = {a} vs oracle {e:.6} at epoch {rec}"));
     }

@@ -205,14 +205,6 @@ pub(crate) fn chaos_x(ncols: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-/// f16-accumulation oracle tolerance for `row` of `csr` (same bound the
-/// fault-injection experiments use).
-pub(crate) fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
-    let row_nnz = (csr.row_ptr[row + 1] - csr.row_ptr[row]) as f64;
-    let base = 2.0f64.powi(-10) * 3.0;
-    (base * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
-}
-
 /// Runs the sweep. Builds a fresh server per cell over `gpu_config`
 /// (faults overridden per cell), so cells are fully independent.
 pub fn chaos_sweep(gpu_config: &GpuConfig, cfg: &ChaosConfig) -> ChaosReport {
@@ -288,7 +280,7 @@ fn run_cell(
             .iter()
             .zip(&oracle)
             .enumerate()
-            .any(|(r, (a, o))| ((*a as f64) - o).abs() > oracle_tol(csr, r, *o));
+            .any(|(r, (a, o))| ((*a as f64) - o).abs() > csr.oracle_tol(r, *o));
         if wrong {
             silent_wrong += 1;
         }

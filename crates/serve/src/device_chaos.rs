@@ -13,7 +13,7 @@
 //!    served (the survivors absorb the dead device's shards).
 //! 3. **Deterministic** — same profile, same seed, same report.
 
-use crate::chaos::{chaos_x, oracle_tol, sweep_matrices};
+use crate::chaos::{chaos_x, sweep_matrices};
 use crate::server::{MatrixHandle, Request, ServeConfig, SpmvServer, RUNGS};
 use spaden_gpusim::{DeviceFaultConfig, Gpu, GpuConfig};
 use spaden_sparse::csr::Csr;
@@ -255,7 +255,7 @@ fn run_device_cell(
             .iter()
             .zip(&oracle)
             .enumerate()
-            .any(|(r, (a, o))| ((*a as f64) - o).abs() > oracle_tol(csr, r, *o));
+            .any(|(r, (a, o))| ((*a as f64) - o).abs() > csr.oracle_tol(r, *o));
         if wrong {
             silent_wrong += 1;
         }

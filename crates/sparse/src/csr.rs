@@ -60,6 +60,16 @@ impl Csr {
         (self.row_ptr[r + 1] - self.row_ptr[r]) as usize
     }
 
+    /// Tolerance for holding row `r` of an f16 tensor-core result to the
+    /// f64 oracle value `oracle` ([`Csr::spmv_f64`]): the f16 unit
+    /// roundoff scaled by the row's accumulation length, relative for
+    /// large values and absolute near zero. Every harness that checks
+    /// served output against the oracle uses this one bound.
+    pub fn oracle_tol(&self, row: usize, oracle: f64) -> f64 {
+        let row_nnz = (self.row_ptr[row + 1] - self.row_ptr[row]) as f64;
+        (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
+    }
+
     /// (column, value) slice pair for row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
@@ -251,6 +261,18 @@ mod tests {
         // [0 0 0]
         // [3 4 0]
         Csr::new(3, 3, vec![0, 2, 2, 4], vec![0, 2, 0, 1], vec![1.0, 2.0, 3.0, 4.0]).unwrap()
+    }
+
+    #[test]
+    fn oracle_tol_scales_with_row_length_and_magnitude() {
+        let m = small();
+        let unit = 2.0f64.powi(-10) * 3.0;
+        // An empty row accumulates nothing but is still held to one
+        // entry's roundoff plus the absolute floor.
+        assert_eq!(m.oracle_tol(1, 0.0), unit + 1e-4);
+        assert_eq!(m.oracle_tol(1, 0.5), unit + 1e-4);
+        // A 2-nnz row: twice the roundoff, relative above |oracle| = 1.
+        assert_eq!(m.oracle_tol(2, -8.0), (unit * 2.0 + 1e-4) * 8.0);
     }
 
     #[test]

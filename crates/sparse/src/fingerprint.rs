@@ -25,32 +25,50 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a hasher over little-endian words. FNV is chosen for
-/// determinism and zero dependencies, not collision resistance; the
-/// fingerprint combines four independent digests plus the raw dimensions,
-/// so an accidental collision must align across all of them at once.
+/// Incremental FNV-1a (64-bit) hasher, the workspace's one determinism
+/// hash: fingerprints, cache keys, seed streams and run digests all mix
+/// through it. FNV is chosen for determinism and zero dependencies, not
+/// collision resistance; the fingerprint combines four independent
+/// digests plus the raw dimensions, so an accidental collision must
+/// align across all of them at once.
 #[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Self {
+    /// A hasher at the standard FNV-1a offset basis.
+    pub fn new() -> Self {
         Fnv(FNV_OFFSET)
     }
 
+    /// A hasher starting from a custom basis (an independent hash
+    /// family over the same input).
+    pub fn with_basis(basis: u64) -> Self {
+        Fnv(basis)
+    }
+
+    /// Mixes raw bytes.
     #[inline]
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
+    /// Mixes one word as its eight little-endian bytes.
     #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64)
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes())
     }
 
-    fn finish(self) -> u64 {
+    /// The digest of everything mixed so far.
+    pub fn finish(self) -> u64 {
         self.0
     }
 }
@@ -87,12 +105,12 @@ impl MatrixFingerprint {
     /// pattern, or values changes the key.
     pub fn key(&self) -> u64 {
         let mut h = Fnv::new();
-        h.write_u64(self.nrows as u64);
-        h.write_u64(self.ncols as u64);
-        h.write_u64(self.nnz as u64);
-        h.write_u64(self.degree_digest);
-        h.write_u64(self.structure_digest);
-        h.write_u64(self.values_digest);
+        h.u64(self.nrows as u64);
+        h.u64(self.ncols as u64);
+        h.u64(self.nnz as u64);
+        h.u64(self.degree_digest);
+        h.u64(self.structure_digest);
+        h.u64(self.values_digest);
         h.finish()
     }
 
@@ -115,26 +133,26 @@ impl MatrixFingerprint {
 /// matrix content (dimensions, `row_ptr`, `col_idx`, value bits).
 pub fn fingerprint(csr: &Csr) -> MatrixFingerprint {
     let mut structure = Fnv::new();
-    structure.write_u64(csr.nrows as u64);
-    structure.write_u64(csr.ncols as u64);
+    structure.u64(csr.nrows as u64);
+    structure.u64(csr.ncols as u64);
     for &p in &csr.row_ptr {
-        structure.write_u32(p);
+        structure.u64(u64::from(p));
     }
     for &c in &csr.col_idx {
-        structure.write_u32(c);
+        structure.u64(u64::from(c));
     }
 
     let mut values = Fnv::new();
     for &v in &csr.values {
-        values.write_u32(v.to_bits());
+        values.u64(u64::from(v.to_bits()));
     }
 
     let hist = degree_histogram(csr);
     let mut degrees = Fnv::new();
     let mut max_degree = 0usize;
     for &(bucket, count) in &hist {
-        degrees.write_u64(bucket as u64);
-        degrees.write_u64(count as u64);
+        degrees.u64(bucket as u64);
+        degrees.u64(count as u64);
     }
     for r in 0..csr.nrows {
         max_degree = max_degree.max(csr.row_nnz(r));
@@ -223,5 +241,13 @@ mod tests {
         assert_eq!(fp.nnz, m.nnz());
         assert!((fp.mean_degree() - m.nnz() as f64 / 256.0).abs() < 1e-12);
         assert!(fp.max_degree >= m.nnz() / 256);
+    }
+
+    #[test]
+    fn fnv_known_answers() {
+        assert_eq!(Fnv::new().finish(), 0xcbf2_9ce4_8422_2325);
+        let mut a = Fnv::new();
+        a.bytes(b"a");
+        assert_eq!(a.finish(), 0xaf63_dc4c_8601_ec8c);
     }
 }
