@@ -30,6 +30,13 @@ pub const REGS_PER_LANE: usize = 8;
 /// Threads per warp.
 pub const LANES: usize = 32;
 
+/// The column order in which a `MatrixA` or accumulator row sits in its
+/// registers: row `r` is four runs of four registers, lane
+/// `(r % 8) * 4 + q`, registers `4 * (r / 8)..4 * (r / 8) + 4`, holding
+/// columns `REGISTER_ORDER[4 * q..4 * q + 4]`.
+pub(crate) const REGISTER_ORDER: [usize; FRAG_DIM] =
+    [0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15];
+
 /// Which operand of `D = A × B + C` a fragment holds. A and B are
 /// half-precision (values are rounded through f16 on write); the
 /// accumulator is f32.
@@ -168,6 +175,45 @@ impl Fragment {
             }
         }
         m
+    }
+
+    /// Row `r` of a `MatrixA` or accumulator fragment, columns in
+    /// [`REGISTER_ORDER`]: four contiguous register runs, no lane map.
+    #[inline]
+    pub(crate) fn row_in_register_order(&self, r: usize) -> [f32; FRAG_DIM] {
+        debug_assert!(self.kind != FragKind::MatrixB);
+        let (lane, reg) = ((r % 8) * 4, 4 * (r / 8));
+        let mut row = [0.0f32; FRAG_DIM];
+        for (q, run) in row.chunks_exact_mut(4).enumerate() {
+            run.copy_from_slice(&self.regs[lane + q][reg..reg + 4]);
+        }
+        row
+    }
+
+    /// Inverse of [`Fragment::row_in_register_order`] for an accumulator
+    /// (no f16 rounding).
+    #[inline]
+    pub(crate) fn set_accumulator_row(&mut self, r: usize, row: &[f32; FRAG_DIM]) {
+        debug_assert!(self.kind == FragKind::Accumulator);
+        let (lane, reg) = ((r % 8) * 4, 4 * (r / 8));
+        for (q, run) in row.chunks_exact(4).enumerate() {
+            self.regs[lane + q][reg..reg + 4].copy_from_slice(run);
+        }
+    }
+
+    /// Every row of a `MatrixB` fragment, columns in [`REGISTER_ORDER`],
+    /// so row `k` lines up element for element with an accumulator row.
+    #[inline]
+    pub(crate) fn matrix_b_rows_in_register_order(&self) -> [[f32; FRAG_DIM]; FRAG_DIM] {
+        debug_assert!(self.kind == FragKind::MatrixB);
+        // Constant trip counts: the lane map folds to fixed offsets.
+        let mut rows = [[0.0f32; FRAG_DIM]; FRAG_DIM];
+        for (k, row) in rows.iter_mut().enumerate() {
+            for (v, &n) in row.iter_mut().zip(&REGISTER_ORDER) {
+                *v = self.get(k, n);
+            }
+        }
+        rows
     }
 
     /// The Section-3 experiment: set `fragment.x[i] = i` in every thread
@@ -328,6 +374,31 @@ mod tests {
         let (lane, reg) = Fragment::lane_reg(FragKind::MatrixA, 3, 5);
         via_reg.write_reg(lane, reg, 2.5);
         assert_eq!(via_elem, via_reg);
+    }
+
+    #[test]
+    fn register_order_rows_match_the_lane_map() {
+        let mut m = [0.0f32; FRAG_DIM * FRAG_DIM];
+        for (i, v) in m.iter_mut().enumerate() {
+            *v = i as f32;
+        }
+        let mut a = Fragment::new(FragKind::MatrixA);
+        a.load_matrix(&m);
+        let mut b = Fragment::new(FragKind::MatrixB);
+        b.load_matrix(&m);
+        let b_rows = b.matrix_b_rows_in_register_order();
+        for r in 0..FRAG_DIM {
+            let row = a.row_in_register_order(r);
+            for (j, &c) in REGISTER_ORDER.iter().enumerate() {
+                assert_eq!(row[j], a.get(r, c), "A ({r},{c})");
+                assert_eq!(b_rows[r][j], b.get(r, c), "B ({r},{c})");
+            }
+            let mut acc = Fragment::new(FragKind::Accumulator);
+            acc.set_accumulator_row(r, &row);
+            for (j, &c) in REGISTER_ORDER.iter().enumerate() {
+                assert_eq!(acc.get(r, c), row[j]);
+            }
+        }
     }
 
     #[test]

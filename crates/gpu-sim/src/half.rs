@@ -103,8 +103,25 @@ impl F16 {
 
     /// Rounds an `f32` through f16 precision and back — the value a tensor
     /// core actually multiplies after loading `value` into a half fragment.
+    ///
+    /// Equal, bit for bit, to `F16::from_f32(value).to_f32()`. Inputs whose
+    /// exponent lies in the f16 normal range (2^-14 ≤ |value| < 2^16), and
+    /// signed zeros (the padding of sparse fragments), round in place:
+    /// round-to-nearest-even on the 13 mantissa bits f16 drops, where a
+    /// carry may move into the next binade, and a result of 2^16 or more
+    /// overflows to infinity as `from_f32` does. Subnormals, larger
+    /// values, infinities and NaNs take the full conversion.
     #[inline]
     pub fn round_f32(value: f32) -> f32 {
+        let bits = value.to_bits();
+        let exp = (bits >> 23) & 0xff;
+        // Biased f32 exponents 113..=142 are f16's unbiased -14..=15.
+        if exp.wrapping_sub(113) < 30 || bits << 1 == 0 {
+            let rounded = (bits + 0x0fff + ((bits >> 13) & 1)) & !0x1fff;
+            let overflow = (rounded & 0x7fff_ffff) >= 0x4780_0000;
+            let inf = (bits & 0x8000_0000) | 0x7f80_0000;
+            return f32::from_bits(if overflow { inf } else { rounded });
+        }
         F16::from_f32(value).to_f32()
     }
 
@@ -288,6 +305,81 @@ mod tests {
         assert_eq!(F16::convert_hazard(1e-20, tol), None);
         // Subnormal f16 values survive the conversion: no hazard.
         assert_eq!(F16::convert_hazard(2.0f32.powi(-20), tol), None);
+    }
+
+    /// Asserts the fast rounding path agrees with the full conversion.
+    fn assert_rounds_like_conversion(v: f32) {
+        let want = F16::from_f32(v).to_f32().to_bits();
+        let got = F16::round_f32(v).to_bits();
+        assert_eq!(got, want, "{v:e} ({:#010x}): {got:#010x} vs {want:#010x}", v.to_bits());
+    }
+
+    #[test]
+    fn round_f32_matches_conversion_around_every_f16() {
+        for bits in 0..=0xffffu16 {
+            let v = F16(bits).to_f32();
+            // The f16 value itself and its f32 neighbours.
+            for w in [v, v.next_up(), v.next_down()] {
+                assert_rounds_like_conversion(w);
+            }
+            // The halfway point to the next f16 away from zero (exact in
+            // f32), and its neighbours: the ties and near-ties of RNE.
+            let next = F16(bits.wrapping_add(1)).to_f32();
+            if v.is_finite() && next.is_finite() && (bits & 0x7fff) != 0x7fff {
+                let mid = ((f64::from(v) + f64::from(next)) / 2.0) as f32;
+                assert_eq!(f64::from(mid), (f64::from(v) + f64::from(next)) / 2.0);
+                for w in [mid, mid.next_up(), mid.next_down()] {
+                    assert_rounds_like_conversion(w);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_f32_boundaries() {
+        let p = |e: i32| 2.0f32.powi(e);
+        for v in [
+            0.0,
+            65504.0,
+            65519.996,
+            65520.0,
+            65536.0,
+            1e30,
+            f32::MAX,
+            f32::INFINITY,
+            p(-14),
+            p(-14).next_down(),
+            p(-14) * (1.0 - p(-12)),
+            p(-24),
+            p(-25),
+            p(-25).next_up(),
+            p(-26),
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0x7fbf_ffff),
+        ] {
+            assert_rounds_like_conversion(v);
+            assert_rounds_like_conversion(-v);
+        }
+        assert_eq!(F16::round_f32(65504.0), 65504.0);
+        assert_eq!(F16::round_f32(65519.996), 65504.0);
+        assert_eq!(F16::round_f32(65520.0), f32::INFINITY);
+        assert_eq!(F16::round_f32(-65520.0), f32::NEG_INFINITY);
+        assert_eq!(F16::round_f32(p(-14).next_down()), p(-14), "rounds up into the normals");
+        assert_eq!(F16::round_f32(-0.0).to_bits(), 0x8000_0000);
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 f32 patterns; about 50 s in release"]
+    fn round_f32_matches_conversion_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            let v = f32::from_bits(bits);
+            if F16::round_f32(v).to_bits() != F16::from_f32(v).to_f32().to_bits() {
+                assert_rounds_like_conversion(v);
+            }
+        }
     }
 
     #[test]
