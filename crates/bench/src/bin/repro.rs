@@ -202,33 +202,24 @@ fn main() {
             }
         }
         "serve" => {
-            // Fixed seeds: the sweep (and CI's chaos smoke job) must be
-            // reproducible run to run. Two profiles: uniform faults hit
-            // every rung (breaker trips, shedding, recovery once the burst
-            // passes), tensor-core-only faults spare the scalar/CSR rungs
-            // (failover keeps serving one rung down the ladder).
+            // Fixed chaos schedules on fixed seeds, so the run (and CI's
+            // chaos job) reproduces run to run. Two profiles: uniform
+            // bit bursts hit every rung (breaker trips, shedding,
+            // recovery once the burst passes); tensor-core-only bursts
+            // land on MMA fragments, which the ABFT rungs correct.
             let seeds = match args.seed {
                 Some(s) => vec![s, s.wrapping_add(12)],
-                None => vec![11, 23],
+                None => spaden_chaos::fixed::SERVE_SEEDS.to_vec(),
             };
-            let uniform = spaden_serve::ChaosConfig {
-                rates: vec![0.0, 1e-2, 5e-2, 2e-1],
-                profile: spaden_serve::FaultProfile::Uniform,
-                seeds: seeds.clone(),
-                requests_per_cell: 32,
-                ..spaden_serve::ChaosConfig::default()
-            };
-            let tc_only = spaden_serve::ChaosConfig {
-                rates: vec![2e-1, 1.0],
-                profile: spaden_serve::FaultProfile::TensorCoreOnly,
-                seeds,
-                requests_per_cell: 32,
-                ..spaden_serve::ChaosConfig::default()
-            };
+            let profiles = [
+                ("uniform", &spaden_chaos::fixed::UNIFORM_RATES[..], false),
+                ("tensor-core-only", &spaden_chaos::fixed::TC_ONLY_RATES[..], true),
+            ];
             for gpu in &args.gpus {
-                for (label, cfg) in [("uniform", &uniform), ("tensor-core-only", &tc_only)] {
+                for (label, rates, tc_only) in profiles {
                     println!("\n### Fault profile: {label}");
-                    let (tables, verdict, _) = spaden_bench::serve_report(gpu, cfg);
+                    let (tables, verdict, _) =
+                        spaden_bench::serve_report(gpu, rates, tc_only, &seeds);
                     for t in tables {
                         println!("{t}");
                     }
@@ -368,16 +359,17 @@ fn main() {
         }
         "shard" => {
             // Fixed seed so CI's shard-chaos job is reproducible run to
-            // run. The sweep kills a device mid-stream, slows the whole
-            // fleet, and rolls hangs across it; the verdict line asserts
-            // the SLO (zero silently wrong, >= 90% availability under
-            // device loss, speculation beating no-speculation on p99).
-            let mut cfg = spaden_serve::DeviceChaosConfig::default();
-            if let Some(s) = args.seed {
-                cfg.seeds = vec![s, s.wrapping_add(12)];
-            }
+            // run. The fixed schedules kill a device mid-stream, slow the
+            // whole fleet, and roll hangs across it; the verdict line
+            // asserts the SLO (zero oracle violations, >= 90% of
+            // well-formed arrivals served under device loss, speculation
+            // beating no-speculation on p99).
+            let seeds = match args.seed {
+                Some(s) => vec![s, s.wrapping_add(12)],
+                None => vec![spaden_chaos::fixed::SHARD_SEED],
+            };
             for gpu in &args.gpus {
-                let (tables, verdict, _) = spaden_bench::shard_report(gpu, &cfg);
+                let (tables, verdict, _) = spaden_bench::shard_report(gpu, &seeds);
                 for t in tables {
                     println!("{t}");
                 }

@@ -411,14 +411,7 @@ pub fn run_evolve(gpu: &GpuConfig, cfg: &EvolveScenario) -> EvolveReport {
         let Ok(ok) = &o.result else { continue };
         let truth = &plan.snapshots[o.epoch as usize];
         let x = traffic_x(cfg.nodes, o.index);
-        let oracle = truth.spmv_f64(&x).expect("oracle dims match");
-        let bad = ok
-            .y
-            .iter()
-            .zip(&oracle)
-            .enumerate()
-            .any(|(r, (a, e))| ((*a as f64) - e).abs() > truth.oracle_tol(r, *e));
-        if bad {
+        if truth.oracle_miss(&x, &ok.y).expect("oracle dims match").is_some() {
             wrong_value += 1;
         } else {
             verified += 1;

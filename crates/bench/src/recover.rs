@@ -335,10 +335,7 @@ pub fn run_recover(gpu: &GpuConfig, cfg: &RecoverScenario) -> RecoverReport {
             }) else {
                 continue;
             };
-            let oracle = tip_truth.spmv_f64(&xi).expect("oracle dims match");
-            let torn = ok.y.iter().zip(&oracle).enumerate().any(|(r, (a, e))| {
-                ((*a as f64) - e).abs() > tip_truth.oracle_tol(r, *e)
-            });
+            let torn = tip_truth.oracle_miss(&xi, &ok.y).expect("oracle dims match").is_some();
             reads_verified += !torn as u64;
         }
         let next = value_only_batch(tip_truth, &mut rng, 4);

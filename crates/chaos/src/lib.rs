@@ -17,31 +17,38 @@
 //!   the schedule, swapping the unified [`InjectionConfig`] at every
 //!   fault boundary, then checks a global invariant oracle: no
 //!   unverified output ever served, epoch-exact reads against the f64
-//!   oracle, recovery bit-identity at every crash point, High-priority
+//!   oracle, a typed error for every hostile arrival, recovery
+//!   bit-identity at every crash point, High-priority
 //!   availability above the floor, counter conservation, and a
 //!   determinism digest ([`run`]).
-//! * [`shrink`]: on any violation, delta-debugging over the fault
+//! * [`shrink()`]: on any violation, delta-debugging over the fault
 //!   events and then the arrival count produces a minimal reproducer
 //!   ([`shrink`][mod@shrink]).
-//! * [`explore`] + [`ReplayFile`]: the seed sweep behind `repro chaos`,
+//! * [`explore()`] + [`ReplayFile`]: the seed sweep behind `repro chaos`,
 //!   and the text artifact `repro chaos --replay <file>` re-runs
 //!   bit-exactly ([`explore`][mod@explore], [`replay`]).
+//! * [`fixed`]: the hand-written schedules behind `repro serve` (kernel
+//!   bit bursts) and `repro shard` (device kill, stragglers, hangs), each
+//!   with hostile arrivals — malformed vectors, impossible deadlines —
+//!   that the oracle holds to typed errors.
 //!
 //! [`InjectionConfig`]: spaden_gpusim::InjectionConfig
 
 pub mod explore;
+pub mod fixed;
 pub mod replay;
 pub mod run;
 pub mod schedule;
 pub mod shrink;
 
 /// Fleet size of the chaos scenario's sharded rung (what
-/// [`FaultEvent::KillDevice`](schedule::FaultEvent::KillDevice) device
+/// [`FaultEvent::KillDevice`] device
 /// indexes range over).
 pub const SHARD_DEVICES: usize = 3;
 
 pub use explore::{explore, CaughtViolation, ChaosFindings, ExploreConfig, ScheduleRow};
 pub use replay::ReplayFile;
 pub use run::{run_schedule, CrashCheck, ScenarioOutcome};
-pub use schedule::{ChaosProfile, ChaosSchedule, FaultEvent, FaultFamily, FAMILIES};
+pub use fixed::FleetScenario;
+pub use schedule::{ChaosProfile, ChaosSchedule, FaultEvent, FaultFamily, Hostility, FAMILIES};
 pub use shrink::{shrink, ShrinkResult};

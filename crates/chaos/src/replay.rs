@@ -78,6 +78,9 @@ impl ReplayFile {
                 FaultEvent::FlashCrowd { from_s, until_s, factor } => {
                     out.push_str(&format!("event flash-crowd {from_s} {until_s} {factor}\n"))
                 }
+                FaultEvent::Hostile { from_s, until_s } => {
+                    out.push_str(&format!("event hostile {from_s} {until_s}\n"))
+                }
             }
         }
         out
@@ -167,6 +170,7 @@ impl ReplayFile {
                             until_s: f(2)?,
                             factor: f(3)?,
                         },
+                        Some(&"hostile") => FaultEvent::Hostile { from_s: f(1)?, until_s: f(2)? },
                         _ => return Err(err("unknown event kind")),
                     };
                     schedule.events.push(ev);
@@ -189,13 +193,15 @@ mod tests {
     #[test]
     fn round_trips_every_event_kind_bit_exactly() {
         // The demo profile schedules all six families; add a clean
-        // crash point so the Option<StorageFault> = None arm round-trips.
+        // crash point so the Option<StorageFault> = None arm round-trips,
+        // and the hostile window the generator never emits.
         let mut schedule = ChaosProfile::demo().schedule(5);
         schedule.events.push(FaultEvent::CrashPoint {
             after_update: 0,
             storage: None,
             fault_seed: 99,
         });
+        schedule.events.push(FaultEvent::Hostile { from_s: 1e-4, until_s: 0.1 + 0.2 });
         let file = ReplayFile { schedule, weaken: Weaken::SkipCsrVerify };
         let parsed = ReplayFile::parse(&file.serialize()).expect("round trip parses");
         assert_eq!(parsed, file);

@@ -13,20 +13,21 @@
 //! just the schedule replayed with fault swaps in between).
 //!
 //! After the run the oracle checks, in order: epoch-exact f64-verified
-//! reads (no unverified output was ever served), crash-point recovery
-//! bit-identity, High-priority availability against the floor, and
-//! counter conservation. Every violation is a human-readable string;
-//! the digest makes per-seed determinism checkable by replay.
+//! reads (no unverified output was ever served), typed errors for every
+//! hostile arrival, crash-point recovery bit-identity, High-priority
+//! availability against the floor, and counter conservation. Every
+//! violation is a human-readable string; the digest makes per-seed
+//! determinism checkable by replay.
 
-use crate::schedule::{ChaosSchedule, FaultEvent};
+use crate::schedule::{ChaosSchedule, FaultEvent, Hostility};
 use crate::SHARD_DEVICES;
 use spaden::{EvolveConfig, UpdateFault};
 use spaden_gpusim::{
-    DeviceFaultConfig, FaultConfig, Gpu, GpuConfig, InjectionConfig, SanConfig,
+    DeviceCounters, DeviceFaultConfig, FaultConfig, Gpu, GpuConfig, InjectionConfig, SanConfig,
 };
 use spaden_serve::{
     BatchConfig, OpenOutcome, OpenRequest, OverloadConfig, Priority, Request, ScheduledUpdate,
-    ServeConfig, ServeError, SpmvServer, UpdateOutcome, Weaken,
+    ServeConfig, ServeError, ServeStats, SpmvServer, UpdateOutcome, Weaken,
 };
 use spaden_sparse::delta::{apply_to_csr, Delta, DeltaBatch, UpdateError};
 use spaden_sparse::fingerprint::Fnv;
@@ -41,6 +42,8 @@ const NODES: usize = 96;
 const EDGES: usize = 900;
 /// Per-request deadline budget.
 const DEADLINE_S: f64 = 1e-3;
+/// Deadline budget of a [`Hostility::TinyDeadline`] arrival.
+const HOSTILE_DEADLINE_S: f64 = 1e-9;
 
 /// One crash point's recovery audit.
 #[derive(Debug, Clone)]
@@ -71,13 +74,17 @@ pub struct ScenarioOutcome {
     /// check, final counters, and the clock — the determinism
     /// certificate.
     pub digest: u64,
-    /// Arrivals offered (base + flash crowds).
+    /// Arrivals offered (base + flash crowds), hostile ones included.
     pub offered: usize,
-    /// Verified results served.
+    /// Hostile arrivals offered ([`FaultEvent::Hostile`]). They count in
+    /// no availability figure: `served`, `high_offered` and
+    /// `high_served` cover well-formed arrivals only.
+    pub hostile: usize,
+    /// Verified results served to well-formed arrivals.
     pub served: usize,
-    /// High-priority arrivals offered.
+    /// Well-formed High-priority arrivals offered.
     pub high_offered: usize,
-    /// High-priority arrivals served.
+    /// Well-formed High-priority arrivals served.
     pub high_served: usize,
     /// Scheduled updates that committed.
     pub commits: u64,
@@ -85,6 +92,15 @@ pub struct ScenarioOutcome {
     pub rollbacks: u64,
     /// Crash-point recovery audits performed.
     pub crash_checks: Vec<CrashCheck>,
+    /// The live server's final counters. This and the fields below are
+    /// report material, outside the digest.
+    pub stats: ServeStats,
+    /// Breaker trips summed over the ladder's rungs.
+    pub trips: u64,
+    /// Breaker recoveries summed over the ladder's rungs.
+    pub recoveries: u64,
+    /// Final counters of each device of the sharded rung's fleet.
+    pub devices: Vec<DeviceCounters>,
 }
 
 /// `k` overwrites of existing entries with fresh values (mirrors the
@@ -296,7 +312,9 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
                 bounds.push(c);
                 crash_points.push((c, after_update, storage, fault_seed));
             }
-            FaultEvent::FlashCrowd { .. } | FaultEvent::UpdateCorruption { .. } => {}
+            FaultEvent::FlashCrowd { .. }
+            | FaultEvent::UpdateCorruption { .. }
+            | FaultEvent::Hostile { .. } => {}
         }
     }
     bounds.push(sched.duration_s + 1.0);
@@ -350,12 +368,13 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
             }
             arr_iter.next();
             seg_salts.push(s);
+            let (ncols, deadline_s) = match sched.hostile(s, at) {
+                None => (NODES, DEADLINE_S),
+                Some(Hostility::LongX) => (NODES + 1, DEADLINE_S),
+                Some(Hostility::TinyDeadline) => (NODES, HOSTILE_DEADLINE_S),
+            };
             seg_arrivals.push(OpenRequest {
-                request: Request {
-                    matrix,
-                    x: traffic_x(NODES, s),
-                    deadline_s: Some(DEADLINE_S),
-                },
+                request: Request { matrix, x: traffic_x(ncols, s), deadline_s: Some(deadline_s) },
                 priority: pri,
                 arrival_s: at,
             });
@@ -389,11 +408,9 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
             .count() as u64
     };
     let mut served = 0usize;
+    let mut hostile = 0usize;
     let (mut high_offered, mut high_served) = (0usize, 0usize);
     for (s, o) in &outcomes {
-        if o.priority == Priority::High {
-            high_offered += 1;
-        }
         if o.epoch != epoch_at(o.arrival_s) {
             violations.push(format!(
                 "arrival {s} admitted on epoch {} but epoch {} was committed at t={:.1}us",
@@ -402,6 +419,30 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
                 o.arrival_s * 1e6
             ));
         }
+        if let Some(kind) = sched.hostile(*s, o.arrival_s) {
+            hostile += 1;
+            // I6: a hostile arrival ends in a typed error, never `Ok`.
+            // The overlong vector fails the ladder's shape check; the
+            // 1 ns budget fails its deadline gate, or meets every
+            // breaker open first. Either may be shed before that.
+            match (kind, &o.result) {
+                (_, Err(ServeError::Shed(_)))
+                | (Hostility::LongX, Err(ServeError::Invalid(_)))
+                | (Hostility::TinyDeadline, Err(ServeError::DeadlineExceeded { .. }))
+                | (Hostility::TinyDeadline, Err(ServeError::Unavailable)) => {}
+                (_, Ok(ok)) => violations.push(format!(
+                    "hostile arrival {s} ({kind:?}) served Ok on rung {}",
+                    ok.rung.name()
+                )),
+                (_, Err(e)) => {
+                    violations.push(format!("hostile arrival {s} ({kind:?}) ended in {e}"))
+                }
+            }
+            continue;
+        }
+        if o.priority == Priority::High {
+            high_offered += 1;
+        }
         let Ok(ok) = &o.result else { continue };
         served += 1;
         if o.priority == Priority::High {
@@ -409,14 +450,7 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
         }
         let truth = &snapshots[(o.epoch as usize).min(snapshots.len() - 1)];
         let x = traffic_x(NODES, *s);
-        let oracle = truth.spmv_f64(&x).expect("oracle dims match");
-        let bad = ok
-            .y
-            .iter()
-            .zip(&oracle)
-            .enumerate()
-            .find(|(r, (a, e))| ((**a as f64) - **e).abs() > truth.oracle_tol(*r, **e));
-        if let Some((row, (a, e))) = bad {
+        if let Some((row, a, e)) = truth.oracle_miss(&x, &ok.y).expect("oracle dims match") {
             violations.push(format!(
                 "arrival {s} served unverified output: row {row} = {a} vs oracle {e:.6} \
                  (epoch {}, rung {})",
@@ -534,16 +568,22 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
     d.u64(stats.update_rollbacks);
     d.u64(server.clock_s().to_bits());
 
+    let (trips, recoveries) = server.breaker_totals();
     ScenarioOutcome {
         violations,
         digest: d.finish(),
         offered: arrivals.len(),
+        hostile,
         served,
         high_offered,
         high_served,
         commits,
         rollbacks,
         crash_checks,
+        stats: stats.clone(),
+        trips,
+        recoveries,
+        devices: server.fleet().map_or_else(Vec::new, |f| f.counters()),
     }
 }
 
@@ -636,14 +676,7 @@ fn audit_crash_point(
         Ok(ok) => ok,
         Err(e) => return fail(format!("probe read after recovery failed: {e}")),
     };
-    let oracle = truth.spmv_f64(&x).expect("oracle dims match");
-    if let Some((row, (a, e))) = ok
-        .y
-        .iter()
-        .zip(&oracle)
-        .enumerate()
-        .find(|(r, (a, e))| ((**a as f64) - **e).abs() > truth.oracle_tol(*r, **e))
-    {
+    if let Some((row, a, e)) = truth.oracle_miss(&x, &ok.y).expect("oracle dims match") {
         return fail(format!("probe read row {row} = {a} vs oracle {e:.6} at epoch {rec}"));
     }
 

@@ -143,6 +143,17 @@ pub enum FaultEvent {
         /// Multiplier on the base arrival rate during the spike.
         factor: f64,
     },
+    /// Hostile clients: inside the window, arrival `salt` sends an `x`
+    /// one element too long when `salt % 13 == 9`, and otherwise
+    /// carries a 1 ns deadline when `salt % 9 == 4`. Each such arrival
+    /// must end in a typed error. The generator never emits this
+    /// event; the fixed schedules of [`crate::fixed`] do.
+    Hostile {
+        /// Window start.
+        from_s: f64,
+        /// Window end (exclusive).
+        until_s: f64,
+    },
 }
 
 impl FaultEvent {
@@ -154,9 +165,19 @@ impl FaultEvent {
             FaultEvent::DeviceBurst { .. } | FaultEvent::KillDevice { .. } => FaultFamily::Device,
             FaultEvent::UpdateCorruption { .. } => FaultFamily::Update,
             FaultEvent::CrashPoint { .. } => FaultFamily::Storage,
-            FaultEvent::FlashCrowd { .. } => FaultFamily::Overload,
+            FaultEvent::FlashCrowd { .. } | FaultEvent::Hostile { .. } => FaultFamily::Overload,
         }
     }
+}
+
+/// How a hostile arrival is malformed (see [`FaultEvent::Hostile`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hostility {
+    /// `x` has `ncols + 1` entries: must end `Invalid` (or `Shed`).
+    LongX,
+    /// A 1 ns deadline: must end `DeadlineExceeded`, or `Unavailable`
+    /// when every breaker is open (or `Shed`).
+    TinyDeadline,
 }
 
 /// One complete chaos scenario: seed, load shape, fault events.
@@ -194,7 +215,8 @@ impl ChaosSchedule {
             FaultEvent::BitBurst { from_s, until_s, .. }
             | FaultEvent::HazardBurst { from_s, until_s, .. }
             | FaultEvent::DeviceBurst { from_s, until_s, .. }
-            | FaultEvent::FlashCrowd { from_s, until_s, .. } => (from_s, until_s),
+            | FaultEvent::FlashCrowd { from_s, until_s, .. }
+            | FaultEvent::Hostile { from_s, until_s } => (from_s, until_s),
             FaultEvent::KillDevice { at_s, .. } => (at_s, at_s),
             FaultEvent::UpdateCorruption { update, .. } => {
                 let t = self.update_time(update.min(self.updates.saturating_sub(1)));
@@ -204,6 +226,24 @@ impl ChaosSchedule {
                 let t = self.update_time(after_update.min(self.updates.saturating_sub(1)));
                 (t, t)
             }
+        }
+    }
+
+    /// Whether arrival `salt` at `t` is hostile: a
+    /// [`FaultEvent::Hostile`] window covers `t` and the salt rule picks
+    /// it. Returns how the arrival is malformed.
+    pub fn hostile(&self, salt: usize, t: f64) -> Option<Hostility> {
+        let covered = self.events.iter().any(|e| {
+            matches!(*e, FaultEvent::Hostile { from_s, until_s } if from_s <= t && t < until_s)
+        });
+        if !covered {
+            None
+        } else if salt % 13 == 9 {
+            Some(Hostility::LongX)
+        } else if salt % 9 == 4 {
+            Some(Hostility::TinyDeadline)
+        } else {
+            None
         }
     }
 

@@ -282,7 +282,7 @@ impl OutputWrites {
 ///
 /// Storage is flat: each set owns `WAYS` consecutive slots in three
 /// parallel arrays (line number, sector mask, last-use stamp). A slot is
-/// live only while its stamp is above `floor`, so [`L2Cache::reset`]
+/// live only while its stamp is above `floor`, so `L2Cache::reset`
 /// empties the whole cache in O(1) by raising the floor to the clock, and
 /// one cache serves launch after launch without reallocating.
 #[derive(Debug)]

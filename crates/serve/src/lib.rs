@@ -2,10 +2,12 @@
 //!
 //! `spaden-serve` turns the single-shot engines in `spaden` and
 //! `spaden-baselines` into a request executor with an availability story:
-//! batches of `(matrix, x, deadline)` requests go in, and every one comes
-//! back as a *checksum-verified* result or a *typed* error — never a
-//! silent wrong answer, never a hang, even while the simulator's fault
-//! injector is corrupting kernels underneath.
+//! `(matrix, x, deadline)` requests go in, one at a time through
+//! [`SpmvServer::serve`] or as a time-stamped open-loop arrival stream
+//! through [`SpmvServer::run_open_loop`], and every one comes back as a
+//! *checksum-verified* result or a *typed* error — never a silent wrong
+//! answer, never a hang, even while the simulator's fault injector is
+//! corrupting kernels underneath.
 //!
 //! The moving parts, each in its own module:
 //!
@@ -26,26 +28,24 @@
 //! * [`breaker`] — a per-rung [`CircuitBreaker`] that trips after
 //!   consecutive verification failures, sheds load while open, and
 //!   probes its way back (half-open) when the fault burst passes.
-//! * [`queue`] — the [`BoundedQueue`] admission buffer (bursts past its
-//!   capacity are rejected with [`ServeError::Overloaded`]) and the
-//!   [`AdmissionQueue`]: three priority lanes, absolute deadline expiry
-//!   checked at dequeue, newest-weakest eviction, typed [`ShedReason`]s.
+//! * [`queue`] — the open-loop [`AdmissionQueue`]: three priority lanes,
+//!   absolute deadline expiry checked at dequeue, newest-weakest
+//!   eviction, typed [`ShedReason`]s.
 //! * [`overload`] — the [`OverloadController`] behind
 //!   [`SpmvServer::run_open_loop`]: an AIMD concurrency limit steering
 //!   observed p99 time-in-system toward the SLO target, plus the
 //!   [`BrownoutMode`] ladder that sheds Low- then Normal-priority
 //!   traffic under sustained overload — degraded modes shed, they never
-//!   skip verification. Disabled by default: the closed-loop paths are
-//!   bit-identical to the pre-overload-control server.
+//!   skip verification. Disabled by default, and [`SpmvServer::serve`]
+//!   never consults it.
 //! * [`checksum`] — [`CsrChecksums`], f32 block-row checksums so the CSR
 //!   rung is held to the same verified-or-rejected standard as the ABFT
 //!   rungs.
-//! * [`chaos`] — [`chaos_sweep`], the fault-rate × seed harness behind
-//!   `repro serve`, certifying the no-silent-wrong-answer SLO.
-//! * [`device_chaos`] — [`device_chaos_sweep`], fleet-level failure
-//!   profiles (kill one device mid-stream, all devices slow, rolling
-//!   hangs) behind `repro shard`, certifying the same SLO plus a ≥ 90%
-//!   availability bar under device loss.
+//!
+//! The chaos certification of this crate — kernel bit bursts, device
+//! kills, stragglers, hangs and hostile clients under live traffic —
+//! lives in `spaden-chaos`, whose fixed schedules back `repro serve` and
+//! `repro shard`.
 //!
 //! # Quickstart
 //!
@@ -64,23 +64,17 @@
 //! ```
 
 pub mod breaker;
-pub mod chaos;
 pub mod checksum;
-pub mod device_chaos;
 pub mod overload;
 pub mod queue;
 pub mod server;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use chaos::{chaos_sweep, CellReport, ChaosConfig, ChaosReport, FaultProfile};
-pub use device_chaos::{
-    device_chaos_sweep, DeviceCellReport, DeviceChaosConfig, DeviceChaosReport, DeviceProfile,
-};
 pub use checksum::CsrChecksums;
 pub use overload::{BrownoutMode, OverloadConfig, OverloadController, OverloadStats};
 pub use queue::{
-    AdmissionQueue, Admitted, BoundedQueue, Dequeued, Priority, PushOutcome, ShedCounters,
-    ShedReason, PRIORITIES,
+    AdmissionQueue, Admitted, Dequeued, Priority, PushOutcome, ShedCounters, ShedReason,
+    PRIORITIES,
 };
 pub use server::{
     BatchConfig, MatrixHandle, OpenOutcome, OpenRequest, RecoveryReport, Request, Rung,

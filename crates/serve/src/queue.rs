@@ -1,22 +1,16 @@
-//! Bounded admission queues with backpressure.
+//! The bounded admission queue with backpressure.
 //!
-//! Two queues live here:
-//!
-//! * [`BoundedQueue`] — the original FIFO admission buffer behind
-//!   [`SpmvServer::run_batch`](crate::SpmvServer::run_batch). The server
-//!   never buffers more than `capacity` requests: a burst beyond that is
-//!   rejected at admission with [`crate::ServeError::Overloaded`] instead
-//!   of growing an unbounded backlog whose tail would blow every deadline
-//!   anyway (reject-fast beats queue-and-miss).
-//! * [`AdmissionQueue`] — the overload-aware queue behind the open-loop
-//!   path ([`SpmvServer::run_open_loop`](crate::SpmvServer::run_open_loop)).
-//!   Entries carry a [`Priority`] and an absolute simulated expiry;
-//!   dequeue is highest-priority-first (FIFO within a class), entries
-//!   whose deadline has already elapsed are *shed at dequeue* instead of
-//!   executed (a dead request must not burn a rung attempt), and a full
-//!   queue evicts its newest lowest-priority entry to admit a strictly
-//!   higher-priority arrival. Every shed is a typed [`ShedReason`] and a
-//!   counter bump — nothing disappears silently.
+//! [`AdmissionQueue`] is the overload-aware queue behind the open-loop
+//! path ([`SpmvServer::run_open_loop`](crate::SpmvServer::run_open_loop)).
+//! It never buffers more than `capacity` requests: a backlog whose tail
+//! would blow every deadline anyway is not worth growing. Entries carry
+//! a [`Priority`] and an absolute simulated expiry; dequeue is
+//! highest-priority-first (FIFO within a class), entries whose deadline
+//! has already elapsed are *shed at dequeue* instead of executed (a dead
+//! request must not burn a rung attempt), and a full queue evicts its
+//! newest lowest-priority entry to admit a strictly higher-priority
+//! arrival. Every shed is a typed [`ShedReason`] and a counter bump —
+//! nothing disappears silently.
 
 use crate::overload::BrownoutMode;
 use std::collections::VecDeque;
@@ -313,76 +307,9 @@ impl<T> AdmissionQueue<T> {
     }
 }
 
-/// FIFO queue that refuses to grow past its capacity.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// An empty queue admitting at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue { items: VecDeque::with_capacity(capacity.max(1)), capacity: capacity.max(1) }
-    }
-
-    /// Admission capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Queued items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Admits `item`, or hands it back if the queue is full.
-    pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.items.len() >= self.capacity {
-            Err(item)
-        } else {
-            self.items.push_back(item);
-            Ok(())
-        }
-    }
-
-    /// Removes and returns the oldest item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop_front()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fifo_order_and_capacity() {
-        let mut q = BoundedQueue::new(2);
-        assert!(q.is_empty());
-        assert!(q.push(1).is_ok());
-        assert!(q.push(2).is_ok());
-        assert_eq!(q.push(3), Err(3), "full queue hands the item back");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert!(q.push(3).is_ok(), "pop frees a slot");
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let mut q = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 1);
-        assert!(q.push('a').is_ok());
-        assert_eq!(q.push('b'), Err('b'));
-    }
 
     fn ready<T>(d: Option<Dequeued<T>>) -> T {
         match d {

@@ -11,14 +11,6 @@ use spaden_shard::ShardError;
 use std::sync::Arc;
 
 impl SpmvServer {
-    /// The ladder walk for one admitted closed-loop request: serves on
-    /// the matrix's head snapshot (closed-loop callers admit and serve
-    /// in one step, so head and admitted epoch coincide).
-    pub(super) fn serve_admitted(&mut self, req: Request) -> Result<ServedOk, ServeError> {
-        let state = self.matrices.get(req.matrix.0).map(|e| e.current.clone());
-        self.serve_on(state, req)
-    }
-
     /// The ladder walk for one admitted request, on a captured matrix
     /// snapshot. The snapshot pins the epoch: every single-device rung
     /// runs this exact matrix. The sharded rung is the one resource that

@@ -48,7 +48,7 @@
 //!
 //! A matrix registered through [`SpmvServer::register_evolving`] carries
 //! an [`EvolvingMatrix`] update lifecycle. Each committed batch publishes
-//! a new *epoch*: a fresh immutable [`PreparedMatrix`] snapshot swapped
+//! a new *epoch*: a fresh immutable `PreparedMatrix` snapshot swapped
 //! in behind an [`Arc`]. Requests capture the snapshot at admission and
 //! finish on it even if an update lands while they wait in queue — a
 //! read can be at most one epoch stale (the one it was admitted on) and
@@ -80,7 +80,7 @@
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::checksum::CsrChecksums;
 use crate::overload::{OverloadConfig, OverloadController, OverloadStats};
-use crate::queue::{AdmissionQueue, BoundedQueue, Priority, ShedCounters, ShedReason};
+use crate::queue::{AdmissionQueue, Priority, ShedCounters, ShedReason};
 use spaden::engine::EngineError;
 use spaden::{
     AbftChecksums, EvolveStats, EvolvingMatrix, SideEntry, SpadenEngine, SpadenNoTcEngine,
@@ -225,8 +225,9 @@ pub enum Weaken {
 /// Serving policy knobs. All times are simulated seconds.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Admission-queue capacity; a batch overflowing it is rejected with
-    /// [`ServeError::Overloaded`].
+    /// Capacity of the open-loop admission queue; past it an arrival
+    /// evicts a weaker-priority entry or is shed
+    /// ([`ShedReason::QueueFull`]).
     pub queue_capacity: usize,
     /// Deadline budget for requests that do not carry their own.
     pub default_deadline_s: f64,
@@ -251,9 +252,8 @@ pub struct ServeConfig {
     /// Device-level fault rates of the fleet (crash/hang/straggler).
     pub device_faults: DeviceFaultConfig,
     /// Overload-control policy of the open-loop path (adaptive
-    /// concurrency limit + brownout ladder). Disabled by default — the
-    /// closed-loop paths and a disabled controller are bit-identical to
-    /// the pre-overload-control server.
+    /// concurrency limit + brownout ladder). Disabled by default, and
+    /// [`SpmvServer::serve`] never consults it.
     pub overload: OverloadConfig,
     /// Batching window of the open-loop path: coalesce queued
     /// same-matrix requests into one verified SpMM sweep. Disabled by
@@ -437,11 +437,6 @@ impl RecoveryReport {
 /// resolves to [`ServedOk`] or exactly one of these.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// Rejected at admission: the bounded queue is full.
-    Overloaded {
-        /// The queue capacity that was exceeded.
-        capacity: usize,
-    },
     /// The matrix handle does not name a registered matrix.
     UnknownMatrix(usize),
     /// The request (or a matrix at registration) is malformed; carries the
@@ -486,9 +481,6 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Overloaded { capacity } => {
-                write!(f, "overloaded: admission queue at capacity {capacity}")
-            }
             ServeError::UnknownMatrix(h) => write!(f, "unknown matrix handle {h}"),
             ServeError::Invalid(e) => write!(f, "invalid request: {e}"),
             ServeError::DeadlineExceeded { budget_s, spent_s } => write!(
@@ -518,8 +510,6 @@ impl std::error::Error for ServeError {}
 pub struct ServeStats {
     /// Requests submitted (admitted or not).
     pub submitted: u64,
-    /// Requests rejected at admission (queue full).
-    pub overloaded: u64,
     /// Verified results per ladder rung.
     pub served: [u64; RUNGS],
     /// Attempts per rung (including failed ones).
@@ -707,7 +697,6 @@ pub struct SpmvServer {
     /// per-shard staging runs.
     partition_cache: PartitionCache,
     breakers: [CircuitBreaker; RUNGS],
-    queue: BoundedQueue<(usize, Request)>,
     /// Open-loop admission queue (priority classes, expiry at dequeue).
     open_queue: AdmissionQueue<OpenSlot>,
     /// Adaptive limit + brownout ladder over the open-loop path.
@@ -733,7 +722,6 @@ impl SpmvServer {
     pub fn new(gpu: Gpu, config: ServeConfig) -> Self {
         let breakers =
             [0; RUNGS].map(|_| CircuitBreaker::new(config.breaker));
-        let queue = BoundedQueue::new(config.queue_capacity);
         let fleet = (config.shard_devices > 0)
             .then(|| DeviceFleet::new(config.shard_devices, &gpu.config, config.device_faults));
         let open_queue = AdmissionQueue::new(config.queue_capacity);
@@ -746,7 +734,6 @@ impl SpmvServer {
             fleet,
             partition_cache: PartitionCache::default(),
             breakers,
-            queue,
             open_queue,
             overload,
             stats: ServeStats::default(),
@@ -883,37 +870,13 @@ impl SpmvServer {
         self.partition_cache.stats()
     }
 
-    /// Serves a batch: every request is admitted through the bounded
-    /// queue (overflow rejected with [`ServeError::Overloaded`]) and the
-    /// admitted ones are served in arrival order. Results are returned in
-    /// input order, one per request.
-    pub fn run_batch(
-        &mut self,
-        requests: Vec<Request>,
-    ) -> Vec<Result<ServedOk, ServeError>> {
-        let n = requests.len();
-        let mut results: Vec<Option<Result<ServedOk, ServeError>>> =
-            (0..n).map(|_| None).collect();
-        for (i, req) in requests.into_iter().enumerate() {
-            self.stats.submitted += 1;
-            if self.queue.push((i, req)).is_err() {
-                self.stats.overloaded += 1;
-                results[i] =
-                    Some(Err(ServeError::Overloaded { capacity: self.queue.capacity() }));
-            }
-        }
-        while let Some((i, req)) = self.queue.pop() {
-            results[i] = Some(self.serve_admitted(req));
-        }
-        results.into_iter().map(|r| r.expect("every slot filled")).collect()
-    }
-
-    /// Serves one request directly (counted as submitted and admitted,
-    /// bypassing the batch queue — single-request callers have no
-    /// admission contention).
+    /// Serves one request directly, on the matrix's head epoch (counted
+    /// as submitted and admitted: a single-request caller has no
+    /// admission contention, so no queue or overload gate is involved).
     pub fn serve(&mut self, req: Request) -> Result<ServedOk, ServeError> {
         self.stats.submitted += 1;
-        self.serve_admitted(req)
+        let state = self.matrices.get(req.matrix.0).map(|e| e.current.clone());
+        self.serve_on(state, req)
     }
 
     /// Shed counters of the open-loop admission queue (expired at

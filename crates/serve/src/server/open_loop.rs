@@ -269,17 +269,25 @@ impl SpmvServer {
                     self.shed_open_slot(entry.item, reason, out);
                 }
                 Some(Dequeued::Ready(entry)) => {
+                    // The head meets the batchmates' bar: a remaining
+                    // budget that cannot sit through a sweep goes to the
+                    // per-request ladder, whose deadline gate fails it.
+                    let now = self.clock_s;
+                    let expires_s = entry.expires_s;
                     let head = entry.item;
                     let batchable = head.state.as_ref().is_some_and(|s| {
-                        s.batch.as_ref().is_some_and(|p| p.crossover <= max_width)
-                            && head.request.x.len() == s.ncols
+                        s.batch.as_ref().is_some_and(|p| {
+                            let sweep_s = p.cost_s.last().copied().unwrap_or(0.0);
+                            p.crossover <= max_width
+                                && expires_s.is_none_or(|x| x - now >= sweep_s)
+                        }) && head.request.x.len() == s.ncols
                     });
                     if !batchable {
                         self.serve_slot(head, out);
                         return true;
                     }
                     let m = head.state.clone().expect("batchable head has a snapshot");
-                    self.run_batch_window(head, m, max_width, out);
+                    self.run_window(head, m, max_width, out);
                     return true;
                 }
             }
@@ -289,7 +297,7 @@ impl SpmvServer {
     /// Gathers batchmates for a dequeued head and executes the window:
     /// one coalesced sweep at or past the crossover width, the
     /// per-request ladder below it or on sweep failure.
-    fn run_batch_window(
+    fn run_window(
         &mut self,
         head: OpenSlot,
         m: Arc<PreparedMatrix>,

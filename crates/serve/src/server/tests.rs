@@ -144,31 +144,6 @@ fn impossible_deadline_fails_fast_without_running() {
 }
 
 #[test]
-fn batch_overflow_rejected_with_overloaded_in_input_order() {
-    let csr = gen::random_uniform(64, 64, 800, 905);
-    let cfg = ServeConfig { queue_capacity: 4, ..ServeConfig::default() };
-    let mut srv = SpmvServer::new(Gpu::new(GpuConfig::l40()), cfg);
-    let h = srv.register(&csr).unwrap();
-    let reqs: Vec<Request> = (0..7)
-        .map(|_| Request { matrix: h, x: make_x(64), deadline_s: None })
-        .collect();
-    let results = srv.run_batch(reqs);
-    assert_eq!(results.len(), 7);
-    for r in &results[..4] {
-        assert!(r.is_ok(), "admitted head of the batch is served: {r:?}");
-    }
-    for r in &results[4..] {
-        assert_eq!(
-            *r.as_ref().unwrap_err(),
-            ServeError::Overloaded { capacity: 4 },
-            "overflow tail rejected"
-        );
-    }
-    assert_eq!(srv.stats().submitted, 7);
-    assert_eq!(srv.stats().overloaded, 3);
-}
-
-#[test]
 fn kill_switch_walks_the_ladder_deterministically() {
     let (mut srv, h, csr) = clean_server();
     let x = make_x(96);
@@ -552,6 +527,27 @@ fn batching_window_never_serves_an_expired_request() {
 }
 
 #[test]
+fn batching_window_never_sweeps_a_head_whose_budget_cannot_cover_it() {
+    // A same-instant burst whose head carries a 1 ns budget: the head
+    // is alive at dequeue but cannot sit through a sweep, so it takes
+    // the per-request ladder and fails its deadline gate; the rest of
+    // the burst still coalesces.
+    let (mut srv, h, _) = batched_server(BatchConfig::on());
+    let mut arrivals = vec![open(h, Priority::Normal, 0.0, 1e-9)];
+    arrivals.extend((0..7).map(|_| open(h, Priority::Normal, 0.0, 10.0)));
+    let out = srv.run_open_loop(arrivals);
+    match &out[0].result {
+        Err(ServeError::DeadlineExceeded { budget_s, spent_s }) => {
+            assert_eq!(*budget_s, 1e-9);
+            assert_eq!(*spent_s, 0.0, "nothing ran for the dead head");
+        }
+        other => panic!("a 1 ns head must fail its deadline, got {other:?}"),
+    }
+    assert!(out[1..].iter().all(|o| o.result.is_ok()), "the batchmates are served");
+    assert_eq!(srv.stats().batched_served, 7, "the batchmates still coalesce");
+}
+
+#[test]
 fn enabled_batching_at_width_one_matches_per_request_bits() {
     // max_width below the crossover makes every head unbatchable, so
     // the batched drain must reduce to the per-request drain exactly.
@@ -627,24 +623,19 @@ fn failed_sweep_falls_back_to_the_per_request_ladder() {
 
 #[test]
 fn closed_loop_paths_ignore_the_overload_controller() {
-    // run_batch / serve must behave identically whether or not the
-    // open-loop overload policy is enabled.
+    // `serve` must behave identically whether or not the open-loop
+    // overload policy is enabled, even past the queue capacity.
     let csr = gen::random_uniform(128, 96, 1800, 901);
     let x = make_x(96);
     let run = |overload: OverloadConfig| {
         let cfg = ServeConfig { queue_capacity: 4, overload, ..ServeConfig::default() };
         let mut srv = SpmvServer::new(Gpu::new(GpuConfig::l40()), cfg);
         let h = srv.register(&csr).unwrap();
-        let reqs: Vec<Request> = (0..7)
-            .map(|_| Request { matrix: h, x: x.clone(), deadline_s: None })
+        let bits: Vec<Vec<u32>> = (0..7)
+            .map(|_| srv.serve(Request { matrix: h, x: x.clone(), deadline_s: None }))
+            .map(|r| r.expect("clean serving").y.iter().map(|v| v.to_bits()).collect())
             .collect();
-        let results = srv.run_batch(reqs);
-        let bits: Vec<Vec<u32>> = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|ok| ok.y.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        (bits, srv.clock_s().to_bits(), srv.stats().overloaded)
+        (bits, srv.clock_s().to_bits(), srv.stats().shed)
     };
     let off = run(OverloadConfig::default());
     let on = run(OverloadConfig::on());

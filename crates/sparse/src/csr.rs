@@ -70,6 +70,19 @@ impl Csr {
         (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
     }
 
+    /// The first row where a served `y` strays from the f64 oracle
+    /// `A·x` ([`Csr::spmv_f64`]) by more than [`Csr::oracle_tol`], as
+    /// `(row, y[row], oracle[row])`; `None` when every row is within
+    /// tolerance. Fails only when `x` does not have `ncols` entries.
+    pub fn oracle_miss(&self, x: &[f32], y: &[f32]) -> SparseResult<Option<(usize, f32, f64)>> {
+        let oracle = self.spmv_f64(x)?;
+        Ok(y.iter()
+            .zip(&oracle)
+            .enumerate()
+            .find(|(r, (a, e))| ((**a as f64) - **e).abs() > self.oracle_tol(*r, **e))
+            .map(|(r, (a, e))| (r, *a, *e)))
+    }
+
     /// (column, value) slice pair for row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
@@ -273,6 +286,18 @@ mod tests {
         assert_eq!(m.oracle_tol(1, 0.5), unit + 1e-4);
         // A 2-nnz row: twice the roundoff, relative above |oracle| = 1.
         assert_eq!(m.oracle_tol(2, -8.0), (unit * 2.0 + 1e-4) * 8.0);
+    }
+
+    #[test]
+    fn oracle_miss_names_the_first_row_outside_tolerance() {
+        let m = small();
+        let x = [1.0, 0.5, -1.0];
+        // A·x = [-1, 0, 5].
+        assert_eq!(m.oracle_miss(&x, &[-1.0, 0.0, 5.0]).unwrap(), None);
+        assert_eq!(m.oracle_miss(&x, &[-1.0, 0.0, 5.003]).unwrap(), None, "within tolerance");
+        assert_eq!(m.oracle_miss(&x, &[-1.0, 0.01, 6.0]).unwrap(), Some((1, 0.01, 0.0)));
+        assert_eq!(m.oracle_miss(&x, &[-1.0, 0.0, 6.0]).unwrap(), Some((2, 6.0, 5.0)));
+        assert!(m.oracle_miss(&x[..2], &[0.0; 3]).is_err(), "x shape is checked");
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //!    requests are shed with typed errors; once the fault burst stops the
 //!    breakers probe, recover, and service resumes — all on simulated
 //!    time, fully deterministic.
-//! 2. A chaos sweep of 200+ mixed requests (malformed, deadline-bound,
-//!    overload bursts) across fault rates and seeds produces zero
-//!    silently-wrong results: every `Ok` matches an f64 oracle.
-//! 3. Deadlines and backpressure hold under fault-free load too.
+//! 2. The fixed bit-burst schedules of `repro serve` — 200+ arrivals,
+//!    malformed vectors and impossible deadlines among them, across
+//!    fault rates and seeds — pass the chaos oracle: every `Ok` matches
+//!    an f64 oracle and every hostile arrival ends in a typed error.
+//! 3. Deadlines and input validation hold under fault-free load too.
 
+use spaden_chaos::fixed::{bit_burst, SERVE_SEEDS, UNIFORM_RATES};
+use spaden_chaos::run_schedule;
 use spaden_gpusim::{FaultConfig, Gpu, GpuConfig};
 use spaden_serve::{
-    chaos_sweep, BreakerState, ChaosConfig, FaultProfile, Request, Rung, ServeConfig, ServeError,
-    SpmvServer,
+    BreakerState, Request, Rung, ServeConfig, ServeError, SpmvServer, Weaken,
 };
 use spaden_sparse::gen;
 
@@ -71,21 +73,28 @@ fn breakers_trip_under_sustained_injection_and_recover_after() {
 
 #[test]
 fn chaos_sweep_of_200_plus_requests_has_zero_silent_wrong_results() {
-    let cfg = ChaosConfig {
-        rates: vec![0.0, 0.02, 0.08],
-        profile: FaultProfile::Uniform,
-        seeds: vec![5, 17],
-        requests_per_cell: 36,
-        ..ChaosConfig::default()
-    };
-    let report = chaos_sweep(&GpuConfig::l40(), &cfg);
-    assert!(report.submitted() >= 200, "sweep size: {}", report.submitted());
-    assert_eq!(report.silent_wrong(), 0, "an Ok that fails the oracle is a serving bug");
-    assert!(report.slo_holds(), "every request must resolve: {:?}", report.cells);
-    // The clean cells serve everything well-formed; the faulted cells
-    // exercise the breakers.
-    assert!(report.cells.iter().filter(|c| c.rate == 0.0).all(|c| c.trips == 0));
-    assert!(report.trips() > 0, "faulted cells must trip breakers");
+    // The uniform schedules of `repro serve` at its first seed: every
+    // rate, ~290 arrivals.
+    let gpu = GpuConfig::l40();
+    let runs: Vec<_> = UNIFORM_RATES
+        .iter()
+        .map(|&rate| {
+            (rate, run_schedule(&gpu, &bit_burst(SERVE_SEEDS[0], rate, false), Weaken::None))
+        })
+        .collect();
+    let offered: usize = runs.iter().map(|(_, o)| o.offered).sum();
+    assert!(offered >= 200, "sweep size: {offered}");
+    assert!(runs.iter().all(|(_, o)| o.hostile > 0), "every schedule sends hostile arrivals");
+    // The oracle covers the old sweep's checks: an Ok that fails the
+    // f64 oracle, an arrival without an outcome, and a hostile arrival
+    // that does not end in a typed error are all violations.
+    for (rate, o) in &runs {
+        assert!(o.violations.is_empty(), "rate {rate}: {:#?}", o.violations);
+    }
+    // The clean schedules trip nothing; the faulted ones exercise the
+    // breakers.
+    assert!(runs.iter().filter(|(rate, _)| *rate == 0.0).all(|(_, o)| o.trips == 0));
+    assert!(runs.iter().map(|(_, o)| o.trips).sum::<u64>() > 0, "bursts must trip breakers");
 }
 
 #[test]
@@ -94,40 +103,21 @@ fn tensor_core_only_faults_are_absorbed_by_abft_correction() {
     // rung detects and repairs it on the scalar path, so service stays on
     // the top rung with zero wrong answers — the paper's ABFT story,
     // observed through the serving layer.
-    let cfg = ChaosConfig {
-        rates: vec![1.0],
-        profile: FaultProfile::TensorCoreOnly,
-        seeds: vec![9],
-        requests_per_cell: 24,
-        ..ChaosConfig::default()
-    };
-    let report = chaos_sweep(&GpuConfig::l40(), &cfg);
-    assert!(report.slo_holds());
-    let c = &report.cells[0];
-    assert_eq!(c.silent_wrong, 0);
+    let o = run_schedule(&GpuConfig::l40(), &bit_burst(SERVE_SEEDS[0], 1.0, true), Weaken::None);
+    assert!(o.violations.is_empty(), "{:#?}", o.violations);
     assert!(
-        c.served[Rung::SpadenChecked as usize] > 0,
-        "ABFT correction keeps the top rung serving: {c:?}"
+        o.stats.served[Rung::SpadenChecked as usize] > 0,
+        "ABFT correction keeps the top rung serving: {:?}",
+        o.stats
     );
-    assert_eq!(c.exhausted + c.unavailable, 0, "no shedding needed: {c:?}");
+    assert_eq!(o.stats.exhausted + o.stats.unavailable, 0, "no shedding needed: {:?}", o.stats);
 }
 
 #[test]
-fn overload_deadline_and_invalid_requests_are_typed_under_clean_load() {
+fn deadline_and_invalid_requests_are_typed_under_clean_load() {
     let csr = gen::random_uniform(64, 64, 900, 73);
-    let cfg = ServeConfig { queue_capacity: 3, ..ServeConfig::default() };
-    let mut srv = SpmvServer::new(Gpu::new(GpuConfig::l40()), cfg);
+    let mut srv = SpmvServer::new(Gpu::new(GpuConfig::l40()), ServeConfig::default());
     let h = srv.register(&csr).unwrap();
-
-    // Burst of 6 into a queue of 3: tail rejected, head served.
-    let reqs: Vec<Request> =
-        (0..6).map(|_| Request { matrix: h, x: make_x(64), deadline_s: None }).collect();
-    let results = srv.run_batch(reqs);
-    assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 3);
-    assert_eq!(
-        results.iter().filter(|r| matches!(r, Err(ServeError::Overloaded { capacity: 3 }))).count(),
-        3
-    );
 
     // Impossible deadline: typed, with the budget echoed back.
     match srv.serve(Request { matrix: h, x: make_x(64), deadline_s: Some(1e-12) }) {
