@@ -774,8 +774,9 @@ impl SpmvServer {
         self.fleet.as_ref()
     }
 
-    /// Operator kill switch for one fleet device (chaos harness: kill a
-    /// device mid-batch). No-op without a fleet.
+    /// Operator kill switch for one fleet device (the chaos
+    /// orchestrator's `KillDevice`: a device dies mid-stream). No-op
+    /// without a fleet.
     pub fn kill_device(&mut self, id: usize) {
         if let Some(fleet) = &mut self.fleet {
             fleet.kill(id);
